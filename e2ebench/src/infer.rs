@@ -2,21 +2,18 @@
 //! traced inference ladder (batch → sample / stage / forward).
 
 use crate::spans::Recorder;
-use crate::util::{run_config, secs, BATCH, INFER_FANOUTS};
+use crate::util::{run_config, Lap, Stopwatch, BATCH, INFER_FANOUTS};
 use salient_core::{BatchInferencer, Checkpoint, ExecutorKind, Trainer};
-use salient_graph::Dataset;
+use salient_graph::{Dataset, NodeId};
 use salient_nn::metrics;
 use salient_sampler::FastSampler;
 use salient_tensor::rng::StdRng;
 use salient_trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Sampled-inference passes over the test nodes.
 pub struct InferRun {
-    /// Wall seconds of each pass.
-    pub times: Vec<f64>,
     /// Accuracy of each pass that completed.
     pub accs: Vec<f64>,
     /// Micro-batches attempted.
@@ -41,37 +38,50 @@ fn evaluator(ds: &Arc<Dataset>, seed: u64, model: &Checkpoint) -> Trainer {
     t
 }
 
-/// Runs `Trainer::evaluate_sampled` over the test nodes with fanouts
-/// 20/20/20: a warm-up pass (checked, not timed), then timed passes until at
-/// least `min` ran and `budget_s` seconds passed.
-pub fn run_passes(
-    ds: &Arc<Dataset>,
-    seed: u64,
-    model: &Checkpoint,
-    min: usize,
-    budget_s: f64,
-) -> InferRun {
-    let mut trainer = evaluator(ds, seed, model);
-    let test = ds.splits.test.clone();
-    let per_pass = test.len().div_ceil(BATCH);
-    let mut run = InferRun {
-        times: Vec::new(),
-        accs: Vec::new(),
-        batches: 0,
-        failed: 0,
-        complete: true,
-    };
-    let mut warm_up = true;
-    let start = Instant::now();
-    while warm_up || run.times.len() < min || secs(start) < budget_s {
-        let t0 = Instant::now();
+/// `Trainer::evaluate_sampled` over the test nodes with fanouts 20/20/20,
+/// pass by pass.
+pub struct Passes {
+    trainer: Trainer,
+    test: Vec<NodeId>,
+    run: InferRun,
+}
+
+impl Passes {
+    /// Loads the served model and runs a warm-up pass (checked, not timed).
+    pub fn warm_up(ds: &Arc<Dataset>, seed: u64, model: &Checkpoint) -> Passes {
+        let mut passes = Passes {
+            trainer: evaluator(ds, seed, model),
+            test: ds.splits.test.clone(),
+            run: InferRun {
+                accs: Vec::new(),
+                batches: 0,
+                failed: 0,
+                complete: true,
+            },
+        };
+        passes.run_pass();
+        passes
+    }
+
+    /// Runs and times one pass.
+    pub fn pass(&mut self) -> Lap {
+        let watch = Stopwatch::start();
+        self.run_pass();
+        watch.lap()
+    }
+
+    /// The record of every pass.
+    pub fn finish(self) -> InferRun {
+        self.run
+    }
+
+    fn run_pass(&mut self) {
+        let per_pass = self.test.len().div_ceil(BATCH);
+        let (trainer, test) = (&mut self.trainer, &self.test);
         let out = catch_unwind(AssertUnwindSafe(|| {
-            trainer.evaluate_sampled(&test, &INFER_FANOUTS)
+            trainer.evaluate_sampled(test, &INFER_FANOUTS)
         }));
-        if !warm_up {
-            run.times.push(secs(t0));
-        }
-        warm_up = false;
+        let run = &mut self.run;
         run.batches += per_pass;
         match out {
             Ok((acc, preds)) => {
@@ -81,7 +91,6 @@ pub fn run_passes(
             Err(_) => run.failed += per_pass,
         }
     }
-    run
 }
 
 impl InferRun {

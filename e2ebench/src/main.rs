@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- \
-//!     --workload train|infer|serve --seed N --seconds S --trace 0|1
+//!     --workload train|infer --seed N --seconds S --trace 0|1
 //! ```
 //!
 //! `--trace 0` prints the end-to-end metrics with tracing off; `--trace 1`
@@ -20,14 +20,12 @@ mod spans;
 mod train;
 mod util;
 
-use phases::{Phase, PhaseOut, Plan, SERVE_ACC_FLOOR, TEST_ACC_FLOOR};
+use phases::{Lane, Phase, Unit, SERVE_ACC_FLOOR, TEST_ACC_FLOOR};
 use salient_core::ExecutorKind;
 use spans::Recorder;
 use std::path::Path;
-use std::process::{Command, Stdio};
 use std::sync::Arc;
-use std::time::Instant;
-use util::{build_dataset, median, percentile, secs, JsonObj};
+use util::{build_dataset, median, percentile, JsonObj, Stopwatch};
 
 /// Where the traced run writes its spans.
 const OUT_DIR: &str = ".bench_out";
@@ -51,15 +49,13 @@ const END_TO_END: [(&str, &str); 7] = [
 enum Workload {
     Train,
     Infer,
-    Serve,
 }
 
 fn parse_workload(w: &str) -> Result<Workload, String> {
     match w {
         "train" => Ok(Workload::Train),
         "infer" => Ok(Workload::Infer),
-        "serve" => Ok(Workload::Serve),
-        w => Err(format!("unknown workload {w:?} (train, infer, serve)")),
+        w => Err(format!("unknown workload {w:?} (train, infer)")),
     }
 }
 
@@ -158,80 +154,89 @@ impl Report {
 }
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 11;
 
-/// How a workload spends its run: the phase it is about gets the run's
-/// seconds, the others a fixed minimum, so every end-to-end metric is
-/// measured on every workload.
-fn plan(w: Workload, seconds: f64) -> Plan {
-    let few = Plan {
-        epochs: (2, 0.0),
-        passes: (1, 0.0),
-        serve_s: 1.0,
+/// Fewest runs of each unit, whatever the seconds.
+const MIN_REPEATS: usize = 2;
+
+/// How a workload shares its run's seconds among the units: every unit is
+/// measured, so every end-to-end metric is printed on every workload, and
+/// the units the workload is about get the largest shares.
+fn shares(w: Workload) -> [(Unit, f64); 4] {
+    let [salient, baseline, infer, serve] = match w {
+        Workload::Train => [0.25, 0.25, 0.3, 0.2],
+        Workload::Infer => [0.15, 0.15, 0.5, 0.2],
     };
-    match w {
-        Workload::Train => Plan {
-            epochs: (3, seconds / 2.0),
-            ..few
-        },
-        Workload::Infer => Plan {
-            passes: (3, seconds),
-            ..few
-        },
-        Workload::Serve => Plan {
-            serve_s: seconds,
-            ..few
-        },
-    }
+    [
+        (Unit::Epoch, salient),
+        (Unit::BaselineEpoch, baseline),
+        (Unit::InferPass, infer),
+        (Unit::ServeWindow, serve),
+    ]
 }
 
-/// Runs one phase in a fresh child process and collects what it reports.
-fn run_child(args: &Args, phase: Phase) -> PhaseOut {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            return PhaseOut {
-                failures: vec![format!("cannot locate own executable: {e}")],
-                ..PhaseOut::default()
-            }
-        }
-    };
-    let output = Command::new(exe)
-        .args(["--phase", phase.name(), "--seed", &args.seed.to_string()])
-        .args(["--workload", &workload_name(args.workload)])
-        .args(["--seconds", &args.seconds.to_string()])
-        .stderr(Stdio::inherit())
-        .output();
-    match output {
-        Ok(o) => {
-            let mut out = phases::parse(&String::from_utf8_lossy(&o.stdout));
-            if !o.status.success() {
-                out.failures
-                    .push(format!("{} phase exited with {}", phase.name(), o.status));
-            }
-            out
-        }
-        Err(e) => PhaseOut {
-            failures: vec![format!("cannot start the {} phase: {e}", phase.name())],
-            ..PhaseOut::default()
-        },
-    }
+/// Builds the graph once as a `setup_s` sample.
+fn setup(seed: u64, samples: &mut Vec<(String, f64)>) {
+    let watch = Stopwatch::start();
+    drop(build_dataset(seed));
+    let lap = watch.lap();
+    samples.push(("setup_s".into(), lap.secs()));
+    samples.push(("wall.setup_s".into(), lap.wall_s));
 }
 
-/// Builds the graph [`SETUPS`] times (the median is `setup_s`), then runs
-/// the SALIENT and the baseline phase, each in a fresh process; each metric
-/// is the median of its samples (peak RSS: the largest).
+/// Starts one child per phase, one after the other, then interleaves their
+/// units for `--seconds`: each next unit is the one furthest behind its
+/// share of the time so far, and each unit runs at least
+/// [`MIN_REPEATS`] times. The [`SETUPS`] graph builds (the median is
+/// `setup_s`) are spread over the run the same way. Each metric is the
+/// median of its samples (peak RSS: the largest).
 fn end_to_end(args: &Args, report: &mut Report) {
     let mut samples: Vec<(String, f64)> = Vec::new();
-    for _ in 0..SETUPS {
-        let t0 = Instant::now();
-        drop(build_dataset(args.seed));
-        samples.push(("setup_s".into(), secs(t0)));
+    let mut lanes = Vec::new();
+    for phase in Phase::ALL {
+        match Lane::start(phase, args.seed) {
+            Ok(lane) => lanes.push(lane),
+            Err(e) => {
+                report.failures.push(e);
+                return;
+            }
+        }
+    }
+    let lane_of = |u: Unit| Phase::ALL.iter().position(|&p| p == u.phase()).unwrap_or(0);
+    let shares = shares(args.workload);
+    let mut spent = [0.0f64; 4];
+    let mut runs = [0usize; 4];
+    let mut setups = 0;
+    loop {
+        let total: f64 = spent.iter().sum();
+        if setups < SETUPS && setups as f64 <= (SETUPS - 1) as f64 * total / args.seconds {
+            setup(args.seed, &mut samples);
+            setups += 1;
+        }
+        if total >= args.seconds && runs.iter().all(|&n| n >= MIN_REPEATS) {
+            break;
+        }
+        let next = (0..shares.len())
+            .min_by(|&a, &b| (spent[a] / shares[a].1).total_cmp(&(spent[b] / shares[b].1)))
+            .unwrap_or(0);
+        let unit = shares[next].0;
+        match lanes[lane_of(unit)].unit(unit) {
+            Ok(s) => spent[next] += s,
+            Err(e) => {
+                report.failures.push(e);
+                return;
+            }
+        }
+        runs[next] += 1;
+    }
+    while setups < SETUPS {
+        setup(args.seed, &mut samples);
+        setups += 1;
     }
     samples.push(("peak_rss_mb".into(), util::peak_rss_mb()));
     let mut summary = JsonObj::default();
-    for phase in Phase::ALL {
-        let out = run_child(args, phase);
+    for (lane, phase) in lanes.into_iter().zip(Phase::ALL) {
+        let out = lane.finish();
         report.count(out.attempted, out.failed);
         report.failures.extend(
             out.failures
@@ -257,6 +262,14 @@ fn end_to_end(args: &Args, report: &mut Report) {
             report.metric(name, median(&found), unit);
         }
         summary = summary.str(&format!("{name}_samples"), &format!("{found:?}"));
+        let wall: Vec<f64> = samples
+            .iter()
+            .filter(|(k, _)| k.strip_prefix("wall.") == Some(name))
+            .map(|&(_, v)| v)
+            .collect();
+        if !wall.is_empty() {
+            summary = summary.str(&format!("{name}_wall_samples"), &format!("{wall:?}"));
+        }
     }
     let fail_frac = report.failed as f64 / report.attempted.max(1) as f64;
     println!(
@@ -297,7 +310,9 @@ fn per_layer(args: &Args, report: &mut Report, rec: &mut Recorder) {
     report.count(replay.sent, 0);
     // The allocator order effect: a SALIENT epoch after baseline training,
     // inference and serving in the same process.
-    let mixed = train::run_epochs(&ds, seed, ExecutorKind::Salient, 1, 0.0);
+    let mut mixed = train::Epochs::warm_up(&ds, seed, ExecutorKind::Salient);
+    mixed.epoch();
+    let mixed = mixed.finish();
     mixed.check("mixed salient", &mut report.failures);
     report.count(mixed.batches, mixed.failed);
 
@@ -457,13 +472,10 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if let Ok(phase) = flag(&argv, "--phase") {
         // A phase child: the parent passes valid arguments.
-        let arg = |f: &str| flag(&argv, f).expect("the parent passes every phase argument");
-        let workload = parse_workload(arg("--workload")).expect("a known workload");
-        let seconds = parse_seconds(arg("--seconds")).expect("valid seconds");
+        let seed = flag(&argv, "--seed").expect("the parent passes --seed");
         phases::run(
             Phase::parse(phase).expect("a known phase"),
-            arg("--seed").parse().expect("--seed is a u64"),
-            plan(workload, seconds),
+            seed.parse().expect("--seed is a u64"),
         );
         return;
     }
@@ -471,9 +483,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("e2ebench: {e}");
-            eprintln!(
-                "usage: e2ebench --workload train|infer|serve --seed N --seconds S --trace 0|1"
-            );
+            eprintln!("usage: e2ebench --workload train|infer --seed N --seconds S --trace 0|1");
             std::process::exit(2);
         }
     };

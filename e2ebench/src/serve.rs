@@ -5,7 +5,7 @@
 //! of the heavy arrival trace straight into `ServerCore::step`.
 
 use crate::spans::Recorder;
-use crate::util::{median, mix, percentile, run_config, secs};
+use crate::util::{median, mix, percentile, run_config, secs, Lap, Stopwatch};
 use salient_core::{Checkpoint, ExecutorKind, Trainer};
 use salient_graph::{Dataset, NodeId};
 use salient_nn::GnnModel;
@@ -53,9 +53,12 @@ fn model(ds: &Arc<Dataset>, seed: u64, ck: &Checkpoint) -> Box<dyn GnnModel> {
 /// Closed-loop serving: full micro-batches back to back.
 #[derive(Debug, Default)]
 pub struct ClosedRun {
-    /// Submit-to-completion latency of each `Done` request (ms).
+    /// Submit-to-completion latency of each `Done` request after the
+    /// warm-up window, with its window's host steal taken out (ms).
     pub lat_ms: Vec<f64>,
-    /// Wall seconds the loop ran.
+    /// The same latencies as measured (ms).
+    pub wall_lat_ms: Vec<f64>,
+    /// Wall seconds the measured windows ran.
     pub elapsed_s: f64,
     /// Requests submitted.
     pub sent: usize,
@@ -73,77 +76,123 @@ pub struct ClosedRun {
 
 /// Drives a `ServerCore` on the calling thread in a closed loop: submit one
 /// full micro-batch of test-node queries (50 ms budget each), `step` until
-/// it is answered, and repeat, for at least `min_s` seconds. The queue
-/// never reaches the pressure mark, so every batch runs at full fanout.
-pub fn closed_loop(ds: &Arc<Dataset>, seed: u64, ck: &Checkpoint, min_s: f64) -> ClosedRun {
-    let cfg = serve_config(seed);
-    let batch = cfg.max_batch;
-    let mut core = ServerCore::new(model(ds, seed, ck), Arc::clone(ds), cfg, Trace::disabled());
-    let mut rng = StdRng::seed_from_u64(mix(seed, 5));
-    let test = &ds.splits.test;
-    let mut run = ClosedRun::default();
-    let mut nodes = vec![0; batch];
-    let start = Instant::now();
-    while run.lat_ms.len() < 2 * batch || secs(start) < min_s {
-        let now = core.now_ns();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            *node = test[rng.random_range(0..test.len())];
-            let req = Request {
-                id: (run.sent + i) as u64,
-                node: *node,
-                deadline_ns: now + BUDGET_NS,
-            };
-            if core.submit(req).is_err() {
-                run.lost += 1;
-            }
-        }
-        let first = run.sent as u64;
-        run.sent += batch;
-        let mut seen = vec![0u8; batch];
-        while core.pending() > 0 {
-            for (id, resp) in core.step().responses {
-                let Some(i) = id
-                    .checked_sub(first)
-                    .map(|i| i as usize)
-                    .filter(|&i| i < batch)
-                else {
-                    run.misaccounted += 1;
-                    continue;
+/// it is answered, and repeat. The queue never reaches the pressure mark,
+/// so every batch runs at full fanout.
+pub struct ClosedLoop {
+    ds: Arc<Dataset>,
+    core: ServerCore,
+    rng: StdRng,
+    nodes: Vec<NodeId>,
+    run: ClosedRun,
+}
+
+impl ClosedLoop {
+    /// Puts the served model behind a `ServerCore` and serves one warm-up
+    /// window of `window_s` seconds, not recorded.
+    pub fn warm_up(ds: &Arc<Dataset>, seed: u64, ck: &Checkpoint, window_s: f64) -> ClosedLoop {
+        let cfg = serve_config(seed);
+        let batch = cfg.max_batch;
+        let core = ServerCore::new(model(ds, seed, ck), Arc::clone(ds), cfg, Trace::disabled());
+        let mut lp = ClosedLoop {
+            ds: Arc::clone(ds),
+            core,
+            rng: StdRng::seed_from_u64(mix(seed, 5)),
+            nodes: vec![0; batch],
+            run: ClosedRun::default(),
+        };
+        lp.serve(window_s);
+        lp
+    }
+
+    /// Serves micro-batches for `window_s` seconds (at least one) and
+    /// records their latencies, each scaled by the share of CPU time the
+    /// host gave during the window (see [`crate::util::Lap::secs`]).
+    pub fn window(&mut self, window_s: f64) -> Lap {
+        let watch = Stopwatch::start();
+        let lat = self.serve(window_s);
+        let lap = watch.lap();
+        self.run.lat_ms.extend(lat.iter().map(|l| l * lap.given));
+        self.run.wall_lat_ms.extend(lat);
+        self.run.elapsed_s += lap.wall_s;
+        lap
+    }
+
+    /// The record of the measured windows.
+    pub fn finish(self) -> ClosedRun {
+        self.run
+    }
+
+    /// Serves micro-batches for `window_s` seconds; returns the `Done`
+    /// latencies (ms).
+    fn serve(&mut self, window_s: f64) -> Vec<f64> {
+        let batch = self.nodes.len();
+        let test = &self.ds.splits.test;
+        let run = &mut self.run;
+        let mut lat = Vec::new();
+        let start = Instant::now();
+        while lat.is_empty() || secs(start) < window_s {
+            let now = self.core.now_ns();
+            for (i, node) in self.nodes.iter_mut().enumerate() {
+                *node = test[self.rng.random_range(0..test.len())];
+                let req = Request {
+                    id: (run.sent + i) as u64,
+                    node: *node,
+                    deadline_ns: now + BUDGET_NS,
                 };
-                seen[i] += 1;
-                match resp {
-                    Response::Done {
-                        class, latency_ns, ..
-                    } => {
-                        run.done += 1;
-                        run.lat_ms.push(latency_ns as f64 / 1e6);
-                        run.correct += usize::from(class == ds.labels[nodes[i] as usize]);
-                    }
-                    Response::Failed => {
-                        run.failed += 1;
-                        run.lost += 1;
-                    }
-                    _ => run.lost += 1,
+                if self.core.submit(req).is_err() {
+                    run.lost += 1;
                 }
             }
+            let first = run.sent as u64;
+            run.sent += batch;
+            let mut seen = vec![0u8; batch];
+            while self.core.pending() > 0 {
+                for (id, resp) in self.core.step().responses {
+                    let Some(i) = id
+                        .checked_sub(first)
+                        .map(|i| i as usize)
+                        .filter(|&i| i < batch)
+                    else {
+                        run.misaccounted += 1;
+                        continue;
+                    };
+                    seen[i] += 1;
+                    match resp {
+                        Response::Done {
+                            class, latency_ns, ..
+                        } => {
+                            run.done += 1;
+                            lat.push(latency_ns as f64 / 1e6);
+                            run.correct +=
+                                usize::from(class == self.ds.labels[self.nodes[i] as usize]);
+                        }
+                        Response::Failed => {
+                            run.failed += 1;
+                            run.lost += 1;
+                        }
+                        _ => run.lost += 1,
+                    }
+                }
+            }
+            // Refused requests get no step response; every admitted one
+            // gets one.
+            run.misaccounted += seen.iter().filter(|&&n| n > 1).count();
         }
-        // Refused requests get no step response; every admitted one gets one.
-        run.misaccounted += seen.iter().filter(|&&n| n > 1).count();
+        lat
     }
-    run.elapsed_s = secs(start);
-    run
 }
 
 impl ClosedRun {
-    /// Median request latency (ms): with every request of a micro-batch
-    /// submitted together, the service time of a full micro-batch.
+    /// Median request latency with host steal taken out (ms): with every
+    /// request of a micro-batch submitted together, the service time of a
+    /// full micro-batch.
     pub fn p50_ms(&self) -> f64 {
         median(&self.lat_ms)
     }
 
-    /// Completed requests per second over the whole loop.
+    /// Completed requests per second over the measured windows.
     pub fn rps(&self) -> f64 {
-        self.done as f64 / self.elapsed_s
+        self.lat_ms.len() as f64 / self.elapsed_s
     }
 
     /// Output checks: every request answered exactly once, none failed with

@@ -3,7 +3,9 @@
 //! optimizer) built from the same public calls `Trainer` makes.
 
 use crate::spans::Recorder;
-use crate::util::{digest, median, minor_faults, run_config, secs, BATCH, TRAIN_FANOUTS};
+use crate::util::{
+    digest, median, minor_faults, run_config, secs, Lap, Stopwatch, BATCH, TRAIN_FANOUTS,
+};
 use salient_core::{Checkpoint, ExecutorKind, Trainer};
 use salient_graph::{Dataset, FeatureSlab};
 use salient_nn::{build_model, Mode, ModelKind};
@@ -23,8 +25,8 @@ pub const DIGEST_EPOCHS: usize = 2;
 
 /// One executor's epochs: a warm-up, then measured epochs.
 pub struct EpochRun {
-    /// Wall seconds of each measured epoch.
-    pub times: Vec<f64>,
+    /// Each measured epoch.
+    pub laps: Vec<Lap>,
     /// Mean loss of every epoch, warm-up first.
     pub losses: Vec<f64>,
     /// Batches trained, over all epochs.
@@ -33,15 +35,12 @@ pub struct EpochRun {
     pub failed: usize,
     /// Minor page faults per trained batch over the measured epochs.
     pub minor_faults_per_batch: f64,
-    /// The model after the warm-up epoch. For the baseline executor this is
-    /// the served one-epoch model [`served_model`] trains.
-    pub after_warmup: Checkpoint,
 }
 
 impl EpochRun {
-    /// Median measured epoch time (s).
+    /// Median measured epoch time with host steal taken out (s).
     pub fn median_s(&self) -> f64 {
-        median(&self.times)
+        median(&self.laps.iter().map(|l| l.secs()).collect::<Vec<_>>())
     }
 
     /// Digest of the first [`DIGEST_EPOCHS`] losses' bit patterns.
@@ -71,43 +70,59 @@ impl EpochRun {
     }
 }
 
-/// Trains one warm-up epoch, then measured epochs until at least `min`
-/// ran and `budget_s` seconds passed. Tracing is off.
-pub fn run_epochs(
-    ds: &Arc<Dataset>,
-    seed: u64,
-    executor: ExecutorKind,
-    min: usize,
-    budget_s: f64,
-) -> EpochRun {
-    let mut trainer = Trainer::with_trace(
-        Arc::clone(ds),
-        run_config(seed, executor),
-        Trace::disabled(),
-    );
-    let warm = trainer.train_epoch();
-    let mut run = EpochRun {
-        times: Vec::new(),
-        losses: vec![warm.mean_loss],
-        batches: warm.batches,
-        failed: warm.failed_batches,
-        minor_faults_per_batch: 0.0,
-        after_warmup: Checkpoint::from_model(trainer.model()),
-    };
-    let faults0 = minor_faults();
-    let mut measured_batches = 0;
-    let start = Instant::now();
-    while run.times.len() < min || secs(start) < budget_s {
-        let t0 = Instant::now();
-        let stats = trainer.train_epoch();
-        run.times.push(secs(t0));
+/// One executor's trainer, epoch by epoch. Tracing is off.
+pub struct Epochs {
+    trainer: Trainer,
+    run: EpochRun,
+    measured_batches: usize,
+    faults: u64,
+}
+
+impl Epochs {
+    /// Builds the trainer and trains its warm-up epoch.
+    pub fn warm_up(ds: &Arc<Dataset>, seed: u64, executor: ExecutorKind) -> Epochs {
+        let mut trainer = Trainer::with_trace(
+            Arc::clone(ds),
+            run_config(seed, executor),
+            Trace::disabled(),
+        );
+        let warm = trainer.train_epoch();
+        let run = EpochRun {
+            laps: Vec::new(),
+            losses: vec![warm.mean_loss],
+            batches: warm.batches,
+            failed: warm.failed_batches,
+            minor_faults_per_batch: 0.0,
+        };
+        Epochs {
+            trainer,
+            run,
+            measured_batches: 0,
+            faults: 0,
+        }
+    }
+
+    /// Trains and times one measured epoch.
+    pub fn epoch(&mut self) -> Lap {
+        let f0 = minor_faults();
+        let watch = Stopwatch::start();
+        let stats = self.trainer.train_epoch();
+        let lap = watch.lap();
+        self.faults += minor_faults() - f0;
+        let run = &mut self.run;
+        run.laps.push(lap);
         run.losses.push(stats.mean_loss);
         run.batches += stats.batches;
         run.failed += stats.failed_batches;
-        measured_batches += stats.batches;
+        self.measured_batches += stats.batches;
+        lap
     }
-    run.minor_faults_per_batch = (minor_faults() - faults0) as f64 / measured_batches.max(1) as f64;
-    run
+
+    /// The record of every epoch.
+    pub fn finish(mut self) -> EpochRun {
+        self.run.minor_faults_per_batch = self.faults as f64 / self.measured_batches.max(1) as f64;
+        self.run
+    }
 }
 
 /// The one-epoch baseline model `infer` and `serve` run: deterministic in

@@ -61,6 +61,102 @@ pub fn secs(t: Instant) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
+/// CPU time of the whole machine so far, in clock ticks, from the first
+/// line of `/proc/stat`: time spent running anything, and steal — time a
+/// runnable virtual CPU was kept off the physical ones by the hypervisor.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct HostTicks {
+    busy: u64,
+    steal: u64,
+}
+
+impl HostTicks {
+    /// The counters now (zero where `/proc/stat` cannot be read).
+    pub fn now() -> HostTicks {
+        let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
+        HostTicks::parse(stat.lines().next().unwrap_or_default())
+    }
+
+    /// Parses the aggregate `cpu` line: user, nice, system, idle, iowait,
+    /// irq, softirq, steal, ...
+    fn parse(line: &str) -> HostTicks {
+        let f: Vec<u64> = line
+            .split_whitespace()
+            .skip(1)
+            .map(|v| v.parse().unwrap_or(0))
+            .collect();
+        let at = |i: usize| f.get(i).copied().unwrap_or(0);
+        HostTicks {
+            busy: at(0) + at(1) + at(2) + at(5) + at(6),
+            steal: at(7),
+        }
+    }
+
+    /// Share of the CPU time wanted since `earlier` that the host gave:
+    /// busy / (busy + steal), 1 when no ticks passed.
+    pub fn given_since(self, earlier: HostTicks) -> f64 {
+        let busy = self.busy.saturating_sub(earlier.busy) as f64;
+        let steal = self.steal.saturating_sub(earlier.steal) as f64;
+        if busy + steal > 0.0 {
+            busy / (busy + steal)
+        } else {
+            1.0
+        }
+    }
+}
+
+/// Times an interval on the real clock and reads how much CPU time the
+/// host withheld during it.
+pub struct Stopwatch {
+    t0: Instant,
+    h0: HostTicks,
+}
+
+/// One timed interval.
+#[derive(Clone, Copy, Debug)]
+pub struct Lap {
+    /// Wall seconds.
+    pub wall_s: f64,
+    /// Share of the wanted CPU time the host gave (1 without steal).
+    pub given: f64,
+}
+
+impl Lap {
+    /// Wall seconds with the host's steal taken out: `wall × given`. While
+    /// a virtual CPU is stolen the program makes no progress on it, so this
+    /// is the wall time the same work takes on CPUs the host does not
+    /// share: exact for one busy CPU (wall − steal), and for two equally
+    /// busy ones (wall − steal / 2).
+    pub fn secs(self) -> f64 {
+        self.wall_s * self.given
+    }
+}
+
+impl Stopwatch {
+    /// Starts timing.
+    pub fn start() -> Stopwatch {
+        let h0 = HostTicks::now();
+        Stopwatch {
+            t0: Instant::now(),
+            h0,
+        }
+    }
+
+    /// Wall seconds since [`Stopwatch::start`].
+    pub fn elapsed_s(&self) -> f64 {
+        secs(self.t0)
+    }
+
+    /// The interval since [`Stopwatch::start`].
+    pub fn lap(&self) -> Lap {
+        let wall_s = self.elapsed_s();
+        Lap {
+            wall_s,
+            given: HostTicks::now().given_since(self.h0),
+        }
+    }
+}
+
 /// Median of a non-empty sample (mean of the middle pair for even sizes).
 pub fn median(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "median of an empty sample");
@@ -206,6 +302,27 @@ mod tests {
         assert_eq!(percentile(&xs, 0.5), 50.0);
         assert_eq!(percentile(&xs, 0.99), 99.0);
         assert_eq!(percentile(&xs, 1.0), 100.0);
+    }
+
+    #[test]
+    fn host_ticks_share() {
+        let a = HostTicks::parse("cpu  100 5 20 900 3 1 4 10 0 0");
+        assert_eq!(
+            a,
+            HostTicks {
+                busy: 130,
+                steal: 10
+            }
+        );
+        let b = HostTicks::parse("cpu  160 5 30 950 3 1 4 40 0 0");
+        assert_eq!(b.given_since(a), 70.0 / 100.0);
+        assert_eq!(a.given_since(a), 1.0);
+        assert_eq!(HostTicks::parse(""), HostTicks::default());
+        let lap = Lap {
+            wall_s: 2.0,
+            given: 0.75,
+        };
+        assert_eq!(lap.secs(), 1.5);
     }
 
     #[test]
